@@ -4,9 +4,9 @@ The pushbutton workflow of the paper as a tool::
 
     python -m repro verify kernel.rfx          # prove every property
     python -m repro verify kernel.rfx -p Name  # one property
-    python -m repro verify car --jobs 4        # builtin kernel, parallel
+    python -m repro verify car                 # builtin kernel by name
     python -m repro verify car --profile --json  # spans + counters, JSON
-    python -m repro verify ssh2 --jobs 4 --trace-out t.json  # Perfetto trace
+    python -m repro verify ssh2 --trace-out t.json  # Perfetto trace
     python -m repro check kernel.rfx           # parse + validate only
     python -m repro fmt kernel.rfx             # canonical formatting
     python -m repro bench --figure6            # regenerate Figure 6
@@ -90,8 +90,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         term_cache=not args.no_term_cache,
         compile_plans=not args.no_compile,
         proof_store=args.store,
-        task_timeout=args.task_timeout,
-        task_retries=args.task_retries,
     )
     verifier = Verifier(spec, options)
     instrumented = args.profile or args.trace_out or args.events_out
@@ -122,13 +120,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ])
             report.wall_seconds = time.perf_counter() - start
         else:
-            report = verifier.verify_all(jobs=args.jobs)
+            report = verifier.verify_all()
     if telemetry is not None:
         from .symbolic import cache as symcache
 
         # End-of-run cache occupancy, reported next to the hit/miss
-        # counters (sizes are gauges; with --jobs they reflect the
-        # parent process only).
+        # counters.
         for name, size in symcache.sizes().items():
             telemetry.incr(name, size)
         if telemetry.metrics is not None:
@@ -321,16 +318,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     complaint = _validate_ranges(
         ("--port", args.port, 0, 65535),
-        ("--jobs", args.jobs, 1, None),
         ("--max-intern-terms", args.max_intern_terms, 1, None),
         ("--max-queued", args.max_queued, 1, None),
         ("--session-inflight", args.session_inflight, 1, None),
         ("--breaker-threshold", args.breaker_threshold, 1, None),
     )
-    if complaint is None and args.pool_recycle_tasks is not None:
-        complaint = _validate_ranges(
-            ("--pool-recycle-tasks", args.pool_recycle_tasks, 1, None),
-        )
     if complaint is None and args.breaker_cooldown <= 0:
         complaint = (f"--breaker-cooldown must be > 0, "
                      f"got {args.breaker_cooldown}")
@@ -349,7 +341,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         socket_path=args.socket,
         store=args.store,
-        jobs=args.jobs,
         max_intern_terms=args.max_intern_terms,
         stats_out=args.stats_out,
         events_out=args.events_out,
@@ -357,8 +348,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session_inflight=args.session_inflight,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
-        pool_recycle_tasks=args.pool_recycle_tasks,
-        worker_rss_limit_mb=args.worker_rss_mb,
     )
     if args.sample_interval is not None:
         options.sample_interval = args.sample_interval
@@ -423,19 +412,11 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
         for name in chaos_serve.SCENARIO_NAMES:
             print(name)
         return 0
-    complaint = _validate_ranges(
-        ("--jobs", args.jobs, 1, None),
-    )
-    if complaint is not None:
-        print(f"error: {complaint}", file=sys.stderr)
-        return 2
     names = (None if args.scenarios == "all"
              else [name.strip() for name in args.scenarios.split(",")
                    if name.strip()])
     try:
-        report = chaos_serve.run_chaos_serve(
-            names, seed=args.seed, jobs=args.jobs,
-        )
+        report = chaos_serve.run_chaos_serve(names, seed=args.seed)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -557,22 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print candidate counterexamples on failure")
     verify.add_argument("-e", "--explain", action="store_true",
                         help="narrate each proof (or failure) in prose")
-    verify.add_argument("-j", "--jobs", type=int, default=1,
-                        help="verify properties across N worker processes")
-    verify.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="with --jobs: wall-clock budget per "
-                             "obligation; a hung task fails instead of "
-                             "wedging the run")
-    verify.add_argument("--task-retries", type=int, default=1,
-                        help="with --jobs: retries for a timed-out or "
-                             "crashed obligation task (default 1)")
     verify.add_argument("--profile", action="store_true",
                         help="collect and report spans and counters")
     verify.add_argument("--trace-out", metavar="FILE",
                         help="write a Chrome trace-event JSON of the run "
-                             "(hierarchical spans, one track per worker; "
-                             "load at ui.perfetto.dev)")
+                             "(hierarchical spans; load at "
+                             "ui.perfetto.dev)")
     verify.add_argument("--events-out", metavar="FILE",
                         help="write the flight-recorder event log as "
                              "JSON Lines")
@@ -667,8 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", metavar="DIR", default=None,
                        help="persistent proof store directory shared by "
                             "every session")
-    serve.add_argument("-j", "--jobs", type=int, default=1,
-                       help="worker processes per verification")
     serve.add_argument("--max-intern-terms", type=int,
                        default=serve_defaults.DEFAULT_MAX_INTERN_TERMS,
                        help="intern-table budget before a cache "
@@ -697,20 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(env REPRO_SERVE_MAX_PER_SESSION)")
     serve.add_argument("--breaker-threshold", type=int,
                        default=serve_breaker.DEFAULT_THRESHOLD,
-                       help="consecutive backend failures before the "
+                       help="consecutive prover exceptions before the "
                             "circuit breaker opens")
     serve.add_argument("--breaker-cooldown", type=float,
                        default=serve_breaker.DEFAULT_COOLDOWN,
                        help="seconds an open breaker waits before "
-                            "half-open probes")
-    serve.add_argument("--pool-recycle-tasks", type=int, default=None,
-                       help="drain and rebuild the worker pool after "
-                            "this many completed tasks "
-                            "(env REPRO_SERVE_POOL_RECYCLE_TASKS)")
-    serve.add_argument("--worker-rss-mb", type=float, default=None,
-                       help="recycle the worker pool once a worker's "
-                            "peak RSS exceeds this many MiB "
-                            "(env REPRO_SERVE_WORKER_RSS_MB)")
+                            "its half-open trial")
     serve.add_argument("--sample-interval", type=float, default=None,
                        help="rolling time-series sampling interval in "
                             "seconds (default 1.0; env "
@@ -742,8 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos_serve = sub.add_parser(
         "chaos-serve",
-        help="fault-inject a live serve daemon (worker kills, hangs, "
-             "disk-full, disconnects, malformed frames, floods)",
+        help="fault-inject a live serve daemon (disk-full, "
+             "disconnects, malformed frames, floods)",
     )
     chaos_serve.add_argument("--scenarios", default="all",
                              help="comma-separated scenario names, or "
@@ -753,9 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_serve.add_argument("--seed", type=int, default=0,
                              help="master seed (reports are bit-for-bit "
                                   "reproducible per seed)")
-    chaos_serve.add_argument("--jobs", type=int, default=2,
-                             help="worker processes for pool-fault "
-                                  "scenarios (min 2 applies)")
     chaos_serve.add_argument("--report-out", metavar="FILE", default=None,
                              help="write the sweep report JSON here")
     chaos_serve.add_argument("--json", action="store_true",

@@ -3,14 +3,20 @@
 The paper reports that domain-specific reduction strategies, syntactic
 skip checks, and saving subproofs at cut points yielded an 80× average
 speedup (over 1000× on some benchmarks) over the early implementation.
-Our engine keeps each optimization behind a switch, so the ablation
-measures the same levers:
+Our engine keeps two of these behind a switch, so the ablation measures
+those levers:
 
 * ``memoize_step`` — reuse the symbolic inductive step across properties
   (our analog of the domain-specific reduction strategies: the expensive
   normalization work happens once),
-* ``syntactic_skip`` — discharge exchanges by the cheap syntactic check,
-* ``cache_subproofs`` — reuse invariant subproofs across occurrences.
+* ``syntactic_skip`` — discharge exchanges by the cheap syntactic check.
+
+Saved subproofs have nothing to reuse in this design: no invariant or
+bound recurs within one kernel's verification (DESIGN.md section 6).
+
+Every timed run starts from :func:`~repro.symbolic.reset_interning`, so
+it searches instead of replaying the compiled plans and hot results an
+earlier run left in the process.
 
 Numbers will not match the paper's (different machines, different proof
 stacks); the reproduced *shape*: every optimization is a strict win and
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..prover import ProverOptions, Verifier
+from ..symbolic import reset_interning
 from ..systems import BENCHMARKS
 
 #: Ablation configurations, most-optimized first.  Proof checking is off
@@ -38,10 +45,8 @@ CONFIGURATIONS = {
     "full": ProverOptions(check_proofs=False),
     "no-skip": ProverOptions(syntactic_skip=False, check_proofs=False),
     "no-memo": ProverOptions(memoize_step=False, check_proofs=False),
-    "no-subproof-cache": ProverOptions(cache_subproofs=False,
-                                       check_proofs=False),
     "none": ProverOptions(syntactic_skip=False, memoize_step=False,
-                          cache_subproofs=False, check_proofs=False),
+                          check_proofs=False),
 }
 
 
@@ -79,6 +84,7 @@ def run_ablation(repeats: int = 1,
         for config_name, options in CONFIGURATIONS.items():
             best = float("inf")
             for _ in range(repeats):
+                reset_interning()
                 start = time.perf_counter()
                 report = Verifier(spec, options).verify_all()
                 elapsed = time.perf_counter() - start
@@ -90,6 +96,7 @@ def run_ablation(repeats: int = 1,
                 best = min(best, elapsed)
             seconds[config_name] = best
             if measure_memory:
+                reset_interning()
                 tracemalloc.start()
                 Verifier(spec, options).verify_all()
                 _, peak = tracemalloc.get_traced_memory()
@@ -139,17 +146,15 @@ def render_ablation(rows: List[AblationRow]) -> str:
 
 @dataclass
 class RuntimeRow:
-    """Pipeline-runtime measurements for one benchmark: a serial cold
-    run, a warm run against a populated proof store, and a parallel run,
-    plus whether every configuration agreed bit-for-bit."""
+    """Pipeline-runtime measurements for one benchmark: a cold run and a
+    warm run against the proof store it populated, plus whether both
+    agreed bit-for-bit."""
 
     benchmark: str
     serial_cold: float
     warm_store: float
-    parallel: float
-    jobs: int
     #: True when statuses and checked derivation keys are identical
-    #: across the cold, warm, and parallel runs
+    #: across the cold and warm runs
     invariant: bool
 
     def warm_speedup(self) -> float:
@@ -165,13 +170,14 @@ def _report_signature(report) -> List:
             for r in report.results]
 
 
-def run_runtime_ablation(jobs: int = 4, repeats: int = 2,
+def run_runtime_ablation(repeats: int = 2,
                          store_root: Optional[str] = None
                          ) -> List[RuntimeRow]:
-    """Measure the pipeline's runtime levers per benchmark: cold serial
-    verification, warm verification against the proof store the cold run
-    populated, and parallel verification, asserting along the way that
-    the verdicts and checked derivation keys never change."""
+    """Measure the proof store per benchmark: cold verification (from
+    :func:`~repro.symbolic.reset_interning`, into an empty store) and
+    warm verification against the store the cold run populated,
+    recording whether the verdicts and checked derivation keys
+    changed."""
     root = store_root or tempfile.mkdtemp(prefix="repro-proofstore-")
     rows: List[RuntimeRow] = []
     try:
@@ -181,6 +187,7 @@ def run_runtime_ablation(jobs: int = 4, repeats: int = 2,
             shutil.rmtree(store_dir, ignore_errors=True)
             stored = ProverOptions(proof_store=store_dir)
 
+            reset_interning()
             cold_report = Verifier(spec, stored).verify_all()
             cold = cold_report.wall_seconds
             signature = _report_signature(cold_report)
@@ -192,16 +199,10 @@ def run_runtime_ablation(jobs: int = 4, repeats: int = 2,
                 warm = min(warm, warm_report.wall_seconds)
                 invariant &= _report_signature(warm_report) == signature
 
-            par_report = Verifier(spec, ProverOptions()) \
-                .verify_all(jobs=jobs)
-            invariant &= _report_signature(par_report) == signature
-
             rows.append(RuntimeRow(
                 benchmark=name,
                 serial_cold=cold,
                 warm_store=warm,
-                parallel=par_report.wall_seconds,
-                jobs=jobs,
                 invariant=invariant,
             ))
     finally:
@@ -212,25 +213,23 @@ def run_runtime_ablation(jobs: int = 4, repeats: int = 2,
 
 def render_runtime_ablation(rows: List[RuntimeRow]) -> str:
     """Render the runtime table with its invariance verdict."""
-    jobs = rows[0].jobs if rows else 0
     out = [
-        "Pipeline runtime — proof store and parallel verification "
+        "Pipeline runtime — proof store "
         "(seconds per benchmark, all properties)",
         f"{'benchmark':10s} {'cold':>10s} {'warm':>10s} "
-        f"{f'jobs={jobs}':>10s} {'warm-speedup':>13s}",
+        f"{'warm-speedup':>13s}",
     ]
     for row in rows:
         out.append(
             f"{row.benchmark:10s} {row.serial_cold:10.4f} "
-            f"{row.warm_store:10.4f} {row.parallel:10.4f} "
-            f"{row.warm_speedup():12.1f}x"
+            f"{row.warm_store:10.4f} {row.warm_speedup():12.1f}x"
         )
     total_cold = sum(r.serial_cold for r in rows)
     total_warm = sum(r.warm_store for r in rows)
     ok = all(r.invariant for r in rows)
     out.append(
-        f"[shape] verdicts and derivation keys identical across cold, "
-        f"warm, and parallel runs: {'PASS' if ok else 'FAIL'}; "
+        f"[shape] verdicts and derivation keys identical across cold "
+        f"and warm runs: {'PASS' if ok else 'FAIL'}; "
         f"warm store {total_cold / total_warm:.1f}x faster overall"
         if total_warm > 0 else "[shape] no timings collected"
     )

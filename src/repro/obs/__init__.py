@@ -23,13 +23,13 @@ A fully instrumented run enables the subsystems explicitly::
 
     sink = obs.Telemetry(trace=True, metrics=True, events=True)
     with obs.use(sink):
-        verifier.verify_all(jobs=4)
+        verifier.verify_all()
     obs.export.write_chrome_trace("t.json", sink.to_dict())
 
-Worker processes install their own sink and ship
-:meth:`Telemetry.export` back to the parent, which folds it in with
-:meth:`Telemetry.merge_export` (the legacy ``counters``/``spans`` pair
-via :meth:`Telemetry.merge` still works).  See ``docs/observability.md``
+A sink's :meth:`Telemetry.export` snapshot folds into another sink with
+:meth:`Telemetry.merge_export` (the serve daemon folds each submission's
+sink into its own this way; the legacy ``counters``/``spans`` pair via
+:meth:`Telemetry.merge` still works).  See ``docs/observability.md``
 for the architecture, the event schema, and the ``repro report``
 walkthrough.
 """

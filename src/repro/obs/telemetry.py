@@ -20,11 +20,11 @@ Design constraints, in order:
   same fast path and additionally no-op when their component is off;
 * **bounded** — the raw span list is capped: per-name totals stay exact
   (maintained incrementally), but only the ``max_spans`` slowest raw
-  spans are retained, so large parallel runs cannot grow the sink
-  without bound;
-* **process-portable** — a worker installs its own sink, runs a task,
-  and ships :meth:`Telemetry.export` home; the parent folds it in with
-  :meth:`Telemetry.merge_export`, normalizing worker clock offsets.
+  spans are retained, so long runs cannot grow the sink without bound;
+* **portable** — :meth:`Telemetry.export` is a plain, picklable
+  snapshot; another sink folds it in with
+  :meth:`Telemetry.merge_export`, normalizing clock offsets (the serve
+  daemon folds every submission's sink into its own this way).
   The legacy ``merge(counters, spans)`` form still works;
 * **structured output** — :meth:`Telemetry.to_dict` is what
   ``python -m repro verify --profile --json`` embeds (now with optional
@@ -91,8 +91,7 @@ class Telemetry:
         #: Request-context tags (e.g. the serve daemon's ``submit_id``)
         #: merged into every span's attrs and every event's fields, so
         #: one submission's work is traceable end to end — through
-        #: coalesced verify groups and across the worker-pool boundary
-        #: (:mod:`repro.prover.parallel` ships tags to its workers).
+        #: coalesced verify groups.
         #: Explicit attrs/fields win on key collision.  Empty by
         #: default, so the hot path pays only a falsy check.
         self.tags: Dict[str, object] = dict(tags) if tags else {}

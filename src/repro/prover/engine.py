@@ -17,11 +17,9 @@ Verification runs as a staged pipeline (see :mod:`repro.prover.pipeline`):
 * **check** — validate the assembled derivation through the independent
   :mod:`checker <repro.prover.checker>`.
 
-``verify_all(jobs=N)`` fans properties — and, independently, the NI
-obligations within a property — across a process pool (see
-:mod:`repro.prover.parallel`); each worker memoizes the symbolic
-:class:`GenericStep` once.  Every stage reports counters and spans to
-:mod:`repro.obs` when a telemetry sink is installed.
+``verify_all()`` runs the properties serially in the calling thread.
+Every stage reports counters and spans to :mod:`repro.obs` when a
+telemetry sink is installed.
 
 The engine also hosts the optimizations of paper section 6.4, each behind a
 :class:`ProverOptions` switch so that the ablation benchmark can measure
@@ -30,9 +28,11 @@ their effect:
 * ``memoize_step`` — compute the symbolic :class:`GenericStep` once per
   program instead of once per property;
 * ``syntactic_skip`` — discharge exchanges/invariant cases by the cheap
-  syntactic check where possible;
-* ``cache_subproofs`` — reuse invariant proofs across occurrences and
-  properties (the paper's "saving subproofs at key cut points").
+  syntactic check where possible.
+
+The paper's third optimization, saving subproofs at key cut points, has
+nothing to reuse here: no invariant or bound recurs within one kernel's
+verification (DESIGN.md section 6 gives the counts).
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ class ProverOptions:
 
     syntactic_skip: bool = True
     memoize_step: bool = True
-    cache_subproofs: bool = True
     check_proofs: bool = True
     #: consult the process-wide symbolic caches (interned-term simplify
     #: memo, DNF memo, solver query cache — see docs/performance.md);
@@ -125,26 +124,13 @@ class ProverOptions:
     #: obligation keys.
     compile_plans: bool = True
     proof_store: Optional[str] = None
-    #: parallel runs only: wall-clock budget per obligation task, in
-    #: seconds (``None`` disables the watchdog)
-    task_timeout: Optional[float] = None
-    #: parallel runs only: how many times a timed-out or crashed task is
-    #: retried before it becomes a diagnostic failure verdict
-    task_retries: int = 1
     #: absolute ``time.monotonic()`` deadline for the whole run; a
-    #: property (serial) or obligation task (parallel) not finished by
-    #: then becomes a diagnostic failure verdict carrying
-    #: :data:`DEADLINE_MESSAGE`, so callers get a *partial* report —
+    #: property not started by then becomes a diagnostic failure verdict
+    #: carrying :data:`DEADLINE_MESSAGE`, so callers get a *partial* report —
     #: whatever was proved inside the budget — instead of a hang.
     #: ``None`` (the default) disables the budget.  Execution policy
     #: only: it never shapes obligation keys or derivations.
     deadline: Optional[float] = None
-    #: parallel runs only: retire the pool after this many completed
-    #: tasks (a fresh pool serves the remainder); ``None`` disables
-    pool_recycle_tasks: Optional[int] = None
-    #: parallel runs only: retire the pool once any worker reports a
-    #: peak RSS above this many MiB; ``None`` disables
-    worker_rss_limit_mb: Optional[float] = None
 
 
 #: Diagnostic-error prefix for work condemned by ``ProverOptions.deadline``
@@ -178,8 +164,9 @@ class PropertyResult:
     def derivation_key(self) -> Optional[str]:
         """Content address of the derivation (``None`` for failures).
 
-        Identical across serial/parallel and cold/warm-store runs — the
-        differential tests assert exactly that.
+        Identical across cold/warm-store, compiled/interpreted and
+        cached/uncached runs — the differential tests assert exactly
+        that.
         """
         if self.proof is None:
             return None
@@ -207,9 +194,8 @@ class PropertyResult:
 class VerificationReport:
     """Results for every property of one program.
 
-    ``total_seconds`` sums the per-property (CPU-side) times;
-    ``wall_seconds`` is the report-level elapsed time.  The two diverge
-    under ``verify_all(jobs=N)``.
+    ``total_seconds`` sums the per-property times; ``wall_seconds`` is
+    the report-level elapsed time.
     """
 
     program_name: str
@@ -266,15 +252,9 @@ class Verifier:
         self.spec = spec
         self.options = options or ProverOptions()
         self._step_cache: Optional[GenericStep] = None
-        self._invariant_cache: Dict[InvariantSpec, InvariantProof] = {}
-        self._bounded_cache: Dict[BoundedSpec, BoundedProof] = {}
         self._labeling_cache: Dict[str, Labeling] = {}
         self._program_digest: Optional[str] = None
         self._plan: Optional[symcompile.CompiledPlan] = None
-        #: set by the parallel worker initializer: workers serve hot
-        #: results seeded from the shared arena even though they run
-        #: under a telemetry sink (see :meth:`_hot_results`)
-        self._hot_results_override: Optional[bool] = None
         self._store: Optional[ProofStore] = (
             ProofStore(self.options.proof_store)
             if self.options.proof_store else None
@@ -293,17 +273,12 @@ class Verifier:
         """Whether the compiled plan's hot result cache may serve and
         record obligation results.
 
-        Disabled while a telemetry sink is installed (unless a parallel
-        worker overrides it after arena seeding): serving a result
+        Disabled while a telemetry sink is installed: serving a result
         without re-running the search would silently change the
         search-stage counters that the telemetry differential tests pin
         down.
         """
-        if not self.options.compile_plans:
-            return False
-        if self._hot_results_override is not None:
-            return self._hot_results_override
-        return obs.active() is None
+        return self.options.compile_plans and obs.active() is None
 
     def generic_step(self) -> GenericStep:
         """The symbolic inductive step (memoized per section 6.4).
@@ -338,31 +313,13 @@ class Verifier:
         return self._program_digest
 
     def _invariant_prover(self, spec: InvariantSpec) -> InvariantProof:
-        if self.options.cache_subproofs:
-            cached = self._invariant_cache.get(spec)
-            if cached is not None:
-                obs.incr("subproof.invariant.hit")
-                return cached
-        obs.incr("subproof.invariant.miss")
-        proof = prove_invariant(
+        return prove_invariant(
             self.generic_step(), spec,
             syntactic_skip=self.options.syntactic_skip,
         )
-        if self.options.cache_subproofs:
-            self._invariant_cache[spec] = proof
-        return proof
 
     def _bounded_prover(self, spec: BoundedSpec) -> BoundedProof:
-        if self.options.cache_subproofs:
-            cached = self._bounded_cache.get(spec)
-            if cached is not None:
-                obs.incr("subproof.bounded.hit")
-                return cached
-        obs.incr("subproof.bounded.miss")
-        proof = prove_bounded(self.generic_step(), spec)
-        if self.options.cache_subproofs:
-            self._bounded_cache[spec] = proof
-        return proof
+        return prove_bounded(self.generic_step(), spec)
 
     def _tactic_context(self) -> TacticContext:
         return TacticContext(
@@ -792,38 +749,28 @@ class Verifier:
             error=DEADLINE_MESSAGE,
         )
 
-    def verify_all(self, jobs: Optional[int] = None) -> VerificationReport:
-        """Verify every property of the program.
+    def verify_all(self) -> VerificationReport:
+        """Verify every property of the program, in order.
 
-        With ``jobs > 1`` the properties (and the NI obligations within
-        them) fan out across a process pool; verdicts, derivations and
-        checker approvals are identical to the serial run.
+        The deadline is checked between properties: once it has passed,
+        every remaining property becomes a deadline failure verdict.
         """
         start = time.perf_counter()
         report = VerificationReport(self.spec.name)
-        with obs.span("verify", program=self.spec.name,
-                      jobs=jobs if jobs is not None else 1):
-            if jobs is not None and jobs > 1 and self.spec.properties:
-                from .parallel import verify_parallel
-
-                report.results.extend(
-                    verify_parallel(self.spec, self.options, jobs)
-                )
-            else:
-                for prop in self.spec.properties:
-                    if self._deadline_expired():
-                        report.results.append(self._deadline_result(prop))
-                        continue
-                    report.results.append(self.prove_property(prop))
+        with obs.span("verify", program=self.spec.name):
+            for prop in self.spec.properties:
+                if self._deadline_expired():
+                    report.results.append(self._deadline_result(prop))
+                    continue
+                report.results.append(self.prove_property(prop))
         report.wall_seconds = time.perf_counter() - start
         return report
 
 
 def verify(spec: SpecifiedProgram,
-           options: Optional[ProverOptions] = None,
-           jobs: Optional[int] = None) -> VerificationReport:
+           options: Optional[ProverOptions] = None) -> VerificationReport:
     """One-shot convenience: verify all properties of ``spec``."""
-    return Verifier(spec, options).verify_all(jobs=jobs)
+    return Verifier(spec, options).verify_all()
 
 
 def prove(spec: SpecifiedProgram, property_name: str,

@@ -101,8 +101,7 @@ def generalize(required: ActionPattern, sigma: SymBinding,
         relevant |= _step_local_vars(t)
 
     # Deterministic parameter names make equal specs structurally equal,
-    # which is what the engine's subproof cache keys on (section 6.4's
-    # "saving subproofs at key cut points").
+    # so derivations and their content keys are reproducible.
     rho: Dict[Term, Term] = {
         v: SVar(f"p:{v.name}", v.type, "param")
         for v in sorted(relevant, key=lambda v: v.name)

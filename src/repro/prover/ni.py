@@ -166,9 +166,8 @@ def prove_noninterference(step: GenericStep,
 
     This is the serial composition of the pipeline's NI obligations: the
     base condition (:func:`check_ni_base`) followed by every exchange
-    (:func:`check_ni_exchange`) in program order.  The engine and the
-    parallel driver call the pieces directly so each obligation can be
-    cached and fanned out on its own.
+    (:func:`check_ni_exchange`) in program order.  The engine calls the
+    pieces directly so each obligation can be cached on its own.
     """
     labeling = build_labeling(step, prop)
     base_notes = check_ni_base(step, labeling)

@@ -7,9 +7,9 @@ separately cacheable:
   the program.  Planning is *syntactic*: a trace property is one
   obligation; an NI property is a base obligation plus one obligation per
   ``(component type, message)`` exchange of the kernel (read off
-  ``Program.exchange_keys()`` — no symbolic step needed), which is what
-  lets the parallel driver fan NI work out before any worker has built
-  the :class:`~repro.symbolic.behabs.GenericStep`.
+  ``Program.exchange_keys()`` — no symbolic step needed), so every
+  obligation key is known before the
+  :class:`~repro.symbolic.behabs.GenericStep` is built.
 * **search** — discharge one obligation, emitting a derivation fragment
   (a :class:`~repro.prover.derivation.TracePropertyProof`, the NI base
   notes, or one exchange's :class:`~repro.prover.ni.PathVerdict` group).

@@ -157,8 +157,8 @@ def dependency_digest(program: object, part: Optional[Tuple[str, str]]) -> str:
 def derivation_key(proof: object) -> str:
     """The content address of a derivation (any proof object).
 
-    Bitwise-identical derivations — across serial/parallel and cold/warm
-    runs — have identical keys; the differential tests assert exactly
+    Bitwise-identical derivations — across cold/warm-store runs — have
+    identical keys; the differential tests assert exactly
     that.
     """
     return digest(proof)
@@ -198,7 +198,7 @@ class ProofStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: keys this process has already persisted *checked* — repeat
-        #: puts (coalesced daemon batches, retried parallel tasks) are
+        #: puts (coalesced daemon batches, hot-result replays) are
         #: idempotent no-ops instead of redundant temp-file churn
         self._seen: set = set()
 

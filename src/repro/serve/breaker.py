@@ -1,22 +1,21 @@
-"""A circuit breaker for the daemon's prover backend.
+"""A circuit breaker for the daemon's prover.
 
-When the worker pool starts dying repeatedly — an OOM-killing host, a
-poisoned native library, a full ``/tmp`` breaking ``spawn`` — retrying
-every submission against it at full price turns one infrastructure
-fault into service-wide latency collapse.  The classic remedy is a
-circuit breaker: after ``threshold`` *consecutive* backend failures the
-breaker **opens** and the daemon stops paying for doomed verifications;
-submissions are answered *degraded* (a cached verdict for a source the
-daemon has proved before, or a residue-only answer) while a background
-probe checks whether fresh worker processes can be spawned at all.
-After ``cooldown`` seconds the breaker goes **half-open** and admits
-exactly one trial verification; success closes it, failure re-opens it
-and restarts the cooldown clock.
+When verifications start crashing repeatedly — a prover bug that a
+family of kernels trips, memory exhaustion, a broken proof store —
+retrying every submission at full price turns one fault into
+service-wide latency collapse.  The classic remedy is a circuit breaker:
+after ``threshold`` *consecutive* failures the breaker **opens** and the
+daemon stops paying for doomed verifications; submissions are answered
+*degraded* (a cached verdict for a source the daemon has proved before,
+or a residue-only answer).  After ``cooldown`` seconds the breaker goes
+**half-open** and admits exactly one trial verification; success closes
+it, failure re-opens it and restarts the cooldown clock.  The trial is
+the only way back to closed.
 
 The breaker is deliberately ignorant of what "failure" means — the
-server feeds it (worker deaths and abandoned obligations observed in a
-submission's counters, or an exception escaping the prover).  The clock
-is injectable so the state machine is unit-testable without sleeping.
+server feeds it one failure per exception escaping the prover, and one
+success per verification that completes.  The clock is injectable so
+the state machine is unit-testable without sleeping.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ class CircuitBreaker:
             self._state = "closed"
 
     def record_failure(self) -> None:
-        """The backend failed (worker death, abandoned pool, crash)."""
+        """A verification raised instead of completing."""
         with self._lock:
             self._failures_total += 1
             self._consecutive_failures += 1

@@ -81,11 +81,11 @@ def residue_for(report) -> List[dict]:
 def degraded_residue(spec, reason: str) -> List[dict]:
     """Residue-only answers when no verification ran at all.
 
-    Used by the circuit breaker: with the prover backend down, a parsed
-    but unverified submission still gets one structured entry per
-    property — status ``"degraded"``, no goal or counterexample — so an
-    editor can render *what remains to be shown* instead of an opaque
-    failure while the pool heals.
+    Used by the circuit breaker: with the prover failing, a parsed but
+    unverified submission still gets one structured entry per property
+    — status ``"degraded"``, no goal or counterexample — so an editor
+    can render *what remains to be shown* instead of an opaque failure
+    until the breaker closes.
     """
     return [
         {

@@ -18,15 +18,13 @@ the *same terms in the same order* as :func:`repro.symbolic.seval.sym_exec`
 ``simplify``/``dnf`` call sequence and the feasibility pruning points —
 so obligation keys, derivations and derivation keys are preserved
 bit-for-bit.  The all-kernel compile-vs-interpret differential tests
-(serial and ``--jobs``) are the net; ``--no-compile`` is the escape
-hatch.
+are the net; ``--no-compile`` is the escape hatch.
 
 A :class:`CompiledPlan` also carries the per-kernel memos the engine
 consults on its hot path:
 
 * the built :class:`~repro.symbolic.behabs.GenericStep` (shared across
-  ``Verifier`` instances and shipped to pool workers through the shared
-  arena, see :mod:`repro.prover.shared`);
+  ``Verifier`` instances);
 * obligation keys, memoized per (property, options, part);
 * hot verdict payloads for already-discharged obligations, keyed by
   their content-addressed obligation key (successes only; the engine
@@ -473,11 +471,6 @@ class CompiledPlan:
             obs.incr("compile.plan.build")
         return self._step
 
-    def seed_step(self, step: object) -> None:
-        """Adopt a step built elsewhere (pool workers attach the parent's
-        arena snapshot instead of re-building)."""
-        self._step = step
-
     def obligation_key_for(self, prop: object, syntactic_skip: bool,
                            part: object,
                            compute: Callable[[], str]) -> str:
@@ -514,14 +507,6 @@ class CompiledPlan:
         self._results[key] = (kind, payload)
         while len(self._results) > _RESULT_LIMIT:
             self._results.popitem(last=False)
-
-    def exportable_results(self) -> Dict[str, Tuple[str, object]]:
-        """A plain-dict snapshot of the hot results (for the arena)."""
-        return dict(self._results)
-
-    def seed_results(self, results: Dict[str, Tuple[str, object]]) -> None:
-        for key, value in results.items():
-            self._results.setdefault(key, value)
 
 
 #: Process-wide plans keyed by program content digest (bounded LRU).

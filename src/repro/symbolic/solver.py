@@ -87,14 +87,6 @@ def cache_sizes() -> Dict[str, int]:
     }
 
 
-def set_prefix_enabled(value: bool) -> None:
-    """Enable or disable the prefix cache (driven by
-    ``ProverOptions.compile_plans``; the batched entailment API still
-    works with it off, just without cross-call reuse)."""
-    global _PREFIX_ENABLED
-    _PREFIX_ENABLED = bool(value)
-
-
 def prefix_enabled() -> bool:
     """Whether :func:`facts_for` may consult the prefix cache."""
     return _PREFIX_ENABLED and _cache.enabled()

@@ -2,8 +2,8 @@
 plan must be semantically invisible next to interpreting the symbolic
 step from scratch.
 
-For every builtin kernel, compile-on and ``--no-compile`` runs — serial
-and with a worker pool — must produce identical per-property verdicts,
+For every builtin kernel, compile-on and ``--no-compile`` runs — on a
+warm intern table and from a fresh one — must produce identical per-property verdicts,
 checker approvals, derivation keys, and error text.  The derivation key
 pins the whole derivation, and the obligation keys under it are
 content-addressed, so this asserts bit-for-bit key stability across the
@@ -14,6 +14,7 @@ import pytest
 
 from repro.prover import ProverOptions, Verifier
 from repro.symbolic import compile as symcompile
+from repro.symbolic import reset_interning
 from repro.systems import BENCHMARKS
 
 
@@ -51,24 +52,24 @@ def test_compilation_is_semantically_invisible(name):
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_compilation_is_invisible_in_parallel(name):
-    """With ``jobs=4`` the parent ships the compiled step (and hot
-    results) to workers through the shared arena; the interpreted pool
-    rebuilds per worker.  Verdicts and keys must not notice."""
+def test_compiled_invisible_after_reset(name):
+    """Each run starts from ``reset_interning()``, as a fresh process
+    does: compiled and interpreted runs must still agree with a run on
+    the warm table."""
     spec = BENCHMARKS[name].load()
 
-    serial_interpreted = Verifier(
+    warm_interpreted = Verifier(
         spec, ProverOptions(compile_plans=False)
     ).verify_all()
-    symcompile.clear_plans()
-    parallel_compiled = Verifier(
+    reset_interning()
+    fresh_compiled = Verifier(
         spec, ProverOptions(compile_plans=True)
-    ).verify_all(jobs=4)
-    symcompile.clear_plans()
-    parallel_interpreted = Verifier(
+    ).verify_all()
+    reset_interning()
+    fresh_interpreted = Verifier(
         spec, ProverOptions(compile_plans=False)
-    ).verify_all(jobs=4)
+    ).verify_all()
 
-    expected = signature(serial_interpreted)
-    assert signature(parallel_compiled) == expected
-    assert signature(parallel_interpreted) == expected
+    expected = signature(warm_interpreted)
+    assert signature(fresh_compiled) == expected
+    assert signature(fresh_interpreted) == expected

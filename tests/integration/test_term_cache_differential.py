@@ -1,8 +1,8 @@
 """Differential testing of the symbolic caching layer: memoized
 simplification and solver query caching must be semantically invisible.
 
-For every builtin kernel, caches-on and caches-off runs — serial and
-parallel — must produce identical per-property verdicts, checker
+For every builtin kernel, caches-on and caches-off runs — on a warm
+intern table and from a fresh one — must produce identical per-property verdicts, checker
 approvals, derivation keys, and error text.  The derivation key pins the
 *whole derivation*, so this asserts the caches never change which proof
 is found, not merely whether one is.
@@ -11,6 +11,7 @@ is found, not merely whether one is.
 import pytest
 
 from repro.prover import ProverOptions, Verifier
+from repro.symbolic import reset_interning
 from repro.systems import BENCHMARKS
 
 
@@ -35,21 +36,23 @@ def test_caching_is_semantically_invisible(name):
 
 
 @pytest.mark.parametrize("name", ["ssh2", "browser3"])
-def test_caching_is_invisible_in_parallel(name):
-    """The worker pool initializer resets per-process intern tables and
-    honours ``term_cache``; verdicts must not depend on either."""
+def test_caching_invisible_after_reset(name):
+    """Runs that start from ``reset_interning()``, as a fresh process
+    does, must agree with a run on the warm table, caches on or off."""
     spec = BENCHMARKS[name].load()
 
-    serial_uncached = Verifier(
+    warm_uncached = Verifier(
         spec, ProverOptions(term_cache=False)
     ).verify_all()
-    parallel_cached = Verifier(
+    reset_interning()
+    fresh_cached = Verifier(
         spec, ProverOptions(term_cache=True)
-    ).verify_all(jobs=2)
-    parallel_uncached = Verifier(
+    ).verify_all()
+    reset_interning()
+    fresh_uncached = Verifier(
         spec, ProverOptions(term_cache=False)
-    ).verify_all(jobs=2)
+    ).verify_all()
 
-    expected = signature(serial_uncached)
-    assert signature(parallel_cached) == expected
-    assert signature(parallel_uncached) == expected
+    expected = signature(warm_uncached)
+    assert signature(fresh_cached) == expected
+    assert signature(fresh_uncached) == expected

@@ -1,13 +1,19 @@
-"""Tests for the verification engine: options, caching, reports."""
+"""Tests for the verification engine: options, deadlines, reports."""
+
+import time
 
 import pytest
+
+from repro import obs
 
 from repro.props import (
     NonInterference, TraceProperty, comp_pat, msg_pat, recv_pat, send_pat,
     specify,
 )
-from repro.prover import ProverOptions, Verifier, prove, verify
-from repro.symbolic import compile as symcompile
+from repro.prover import (
+    DEADLINE_MESSAGE, ProverOptions, Verifier, prove, verify,
+)
+from repro.systems import BENCHMARKS
 
 
 def props():
@@ -55,9 +61,8 @@ class TestOptionConfigurations:
         ProverOptions(),
         ProverOptions(syntactic_skip=False),
         ProverOptions(memoize_step=False),
-        ProverOptions(cache_subproofs=False),
-        ProverOptions(syntactic_skip=False, memoize_step=False,
-                      cache_subproofs=False),
+        ProverOptions(compile_plans=False),
+        ProverOptions(syntactic_skip=False, memoize_step=False),
     ])
     def test_verdicts_invariant_under_options(self, ssh_info, options):
         """Optimizations must never change what is provable."""
@@ -74,20 +79,29 @@ class TestOptionConfigurations:
                             ProverOptions(memoize_step=False))
         assert verifier.generic_step() is not verifier.generic_step()
 
-    def test_subproof_cache_populated(self, ssh_info):
-        # Drop the process-wide compiled plans: their hot result cache
-        # (warmed by earlier tests) would serve the derivation without
-        # searching, leaving the subproof cache legitimately empty.
-        symcompile.clear_plans()
-        verifier = Verifier(specify(ssh_info, props()[0]))
-        verifier.verify_all()
-        assert verifier._invariant_cache  # the SSH invariant was cached
 
-    def test_subproof_cache_disabled(self, ssh_info):
-        verifier = Verifier(specify(ssh_info, props()[0]),
-                            ProverOptions(cache_subproofs=False))
-        verifier.verify_all()
-        assert not verifier._invariant_cache
+class TestDeadlines:
+    """The deadline is checked between properties, in the calling
+    thread."""
+
+    def test_serial_deadline_skips_remaining_properties(self):
+        spec = BENCHMARKS["car"].load()
+        report = Verifier(
+            spec, ProverOptions(deadline=time.monotonic() - 1.0),
+        ).verify_all()
+        assert len(report.results) == len(spec.properties)
+        assert all(not result.proved for result in report.results)
+        assert all(DEADLINE_MESSAGE in result.error
+                   for result in report.results)
+
+    def test_generous_deadline_changes_nothing(self):
+        spec = BENCHMARKS["car"].load()
+        with obs.use(obs.Telemetry()) as telemetry:
+            report = Verifier(
+                spec, ProverOptions(deadline=time.monotonic() + 600.0),
+            ).verify_all()
+        assert all(result.proved for result in report.results)
+        assert "prover.deadline_skipped" not in telemetry.counters
 
 
 class TestNIIntegration:

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.protocol import recv_message, send_message
 from repro.serve.residue import residue_for
 from repro.serve.server import (
@@ -448,13 +449,26 @@ class TestBreakerDegradedServing:
 
     def test_closed_breaker_serves_normally_again(self, server):
         self.trip(server)
-        server.breaker.record_success()  # a probe healed the backend
+        server.breaker.record_success()  # a half-open trial succeeded
         sub = submission(server, car.SOURCE)
         server._process_batch([sub])
         verdict = drain(sub.replies)[0]
         assert "degraded" not in verdict
         assert verdict["all_proved"] is True
         assert sub.session.rounds == 1
+
+    def test_half_open_trial_closes_the_breaker(self, server):
+        now = [0.0]
+        server.breaker = CircuitBreaker(threshold=1, cooldown=5.0,
+                                        clock=lambda: now[0])
+        self.trip(server)
+        now[0] = 5.0  # cooldown over: the next verification is the trial
+        sub = submission(server, car.SOURCE)
+        server._process_batch([sub])
+        verdict = drain(sub.replies)[0]
+        assert "degraded" not in verdict
+        assert verdict["all_proved"] is True
+        assert server.breaker.state == "closed"
 
 
 class TestClientDrops:
@@ -666,7 +680,7 @@ class TestHealthFrame:
         assert frame["type"] == "health"
         assert frame["status"] == "ok"
         assert {c["name"] for c in frame["checks"]} \
-            == {"breaker", "backlog", "flush", "pool", "slo"}
+            == {"breaker", "backlog", "flush", "slo"}
         assert frame["sampler"]["errors"] == 0
 
     def test_open_breaker_degrades_then_recovers(self, server):

@@ -4,7 +4,8 @@
 Interning is an optimization, never a semantic dependency: equal terms
 built through any constructor path must be the *same object* while the
 table is warm, structural equality and hashing must keep working after a
-table reset (the fork-worker situation), ``term_hash`` must be stable
+table reset (a daemon cache generation, or proof-store entries written
+before it), ``term_hash`` must be stable
 across processes and pickle round-trips, and memoized simplification
 must be byte-identical to the uncached simplifier.
 """
@@ -115,13 +116,12 @@ class TestResetSafety:
         finally:
             reset_interning()
 
-    def test_pool_worker_reinterning_round_trip(self):
-        """The pool-worker contract end to end: terms pickled in the
-        parent (warm table, warm compiled plans) must unpickle in a
-        worker that reset its table into representatives with identical
+    def test_pickled_terms_reintern_after_reset(self):
+        """Terms pickled on a warm table (and warm compiled plans) must
+        unpickle after a reset into representatives with identical
         structure, ``hash`` and ``term_hash`` — and the reset must not
-        leave a compiled plan pinning the parent generation's term
-        graph (the regression: stale plans mixed pre- and post-reset
+        leave a compiled plan pinning the old generation's term graph
+        (the regression: stale plans mixed pre- and post-reset
         representatives, so "equal" terms stopped being identical)."""
         from repro.symbolic import compile as symcompile
         from repro.systems import ssh2
@@ -129,11 +129,11 @@ class TestResetSafety:
         spec = ssh2.load()
         digest = pickle.dumps(spec.program).hex()[:16]
         plan = symcompile.plan_for(digest)
-        plan.seed_step(object())  # pin something plan-side, as a parent does
+        plan.step_for(spec.info)  # pin a step's terms plan-side
         shipped = [pickle.dumps(t) for t in _samples()]
         expected = [(t, hash(t), t.term_hash) for t in _samples()]
 
-        reset_interning()  # what _init_worker does in the pool
+        reset_interning()
         try:
             assert symcompile.cache_sizes()["compile.plans.size"] == 0
             # A plan fetched after the reset is a fresh object: nothing
