@@ -23,11 +23,15 @@ boundaries, which is the right bias for latency alerting.
 
 Thread-safety: a histogram serializes its own mutations and snapshots
 with a per-instance lock, and the registry serializes histogram
-*creation*, so a sampler thread snapshotting a live registry races the
-observing threads without losing counts or tearing a bucket map.  The
-counter fast path stays lock-free — counters are per-sink and merged
-under the owner's lock (the serve daemon's telemetry lock), and a plain
-dict store is atomic under the GIL.
+*creation* and :meth:`MetricsRegistry.incr`, so a sampler thread
+snapshotting a live registry races the observing threads without
+losing counts or tearing a bucket map.  ``incr`` needs the lock: its
+read-modify-write is not atomic under the GIL, and concurrent writers
+would lose increments.  The ``obs.incr`` fast path stays lock-free: it
+writes the active sink's dict directly, and the code that counts through
+it runs on one thread at a time (the serve daemon's prover thread);
+sinks are merged under their owner's lock (the serve daemon's telemetry
+lock).
 """
 
 from __future__ import annotations
@@ -179,11 +183,14 @@ class MetricsRegistry:
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self._create_lock = threading.Lock()
+        #: serializes counter updates and histogram creation
+        self._lock = threading.Lock()
 
     def incr(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to the counter ``name``."""
-        self.counters[name] = self.counters.get(name, 0) + amount
+        """Add ``amount`` to the counter ``name`` (safe under concurrent
+        writers)."""
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` (last write wins)."""
@@ -195,7 +202,7 @@ class MetricsRegistry:
         observations."""
         histogram = self.histograms.get(name)
         if histogram is None:
-            with self._create_lock:
+            with self._lock:
                 histogram = self.histograms.get(name)
                 if histogram is None:
                     histogram = self.histograms[name] = Histogram(base)

@@ -83,12 +83,16 @@ from .ni import (
 from .obligations import scheme_of
 from .pipeline import Obligation, plan_property
 from .proofstore import (
+    Part,
+    ProgramRender,
     ProofStore,
     StoreEntry,
-    dependency_digest,
     derivation_key,
-    digest,
-    obligation_key,
+    fingerprint,
+    fragment_digests,
+    render_program,
+    rendered_key,
+    trace_fragment_keys,
 )
 from .trace_tactics import (
     TacticContext,
@@ -253,7 +257,18 @@ class Verifier:
         self.options = options or ProverOptions()
         self._step_cache: Optional[GenericStep] = None
         self._labeling_cache: Dict[str, Labeling] = {}
+        # Content addresses, each computed once per Verifier (that is,
+        # once per submission): one render of every AST subtree feeds
+        # the program digest and the slice digests; each property is
+        # rendered once for all its keys.
+        self._render: Optional[ProgramRender] = None
         self._program_digest: Optional[str] = None
+        self._slice_digests: Optional[Dict[Part, str]] = None
+        #: id(property) → (property, its fingerprint); the entry pins
+        #: the property so the id cannot be reused while memoized
+        self._prop_renders: Dict[int, Tuple[Property, str]] = {}
+        #: property fingerprint → its fragment keys
+        self._fragment_keys: Dict[str, Dict[Part, str]] = {}
         self._plan: Optional[symcompile.CompiledPlan] = None
         self._store: Optional[ProofStore] = (
             ProofStore(self.options.proof_store)
@@ -305,12 +320,34 @@ class Verifier:
             return generic_step(self.spec.info, executor=executor)
         return generic_step(self.spec.info)
 
+    def _program_render(self) -> ProgramRender:
+        if self._render is None:
+            self._render = render_program(self.spec.program)
+        return self._render
+
     def program_digest(self) -> str:
         """Content digest of the program AST (computed once, shared by
         every obligation key)."""
         if self._program_digest is None:
-            self._program_digest = digest(self.spec.program)
+            self._program_digest = self._program_render().digest()
         return self._program_digest
+
+    def slice_digests(self) -> Dict[Part, str]:
+        """The dependency digest of every fragment slice (computed once,
+        from the same subtree renders as :meth:`program_digest`): the
+        base slice under ``None`` plus one entry per exchange.  The
+        fragment keys, the invalidation index and the serve daemon's
+        session diffs all read this one table."""
+        if self._slice_digests is None:
+            self._slice_digests = fragment_digests(self._program_render())
+        return self._slice_digests
+
+    def _property_render(self, prop: Property) -> str:
+        """:func:`fingerprint` of ``prop``, rendered once per Verifier."""
+        hit = self._prop_renders.get(id(prop))
+        if hit is None:
+            hit = self._prop_renders[id(prop)] = (prop, fingerprint(prop))
+        return hit[1]
 
     def _invariant_prover(self, spec: InvariantSpec) -> InvariantProof:
         return prove_invariant(
@@ -337,16 +374,16 @@ class Verifier:
         compiled plan's memo table when plans are enabled (the
         fingerprint is the hot path of planning; the memoized value is
         bit-for-bit the uncached one)."""
+        def compute() -> str:
+            return rendered_key(self.program_digest(),
+                                self._property_render(prop),
+                                self.options, part)
+
         if self.options.compile_plans:
             return self.compiled_plan().obligation_key_for(
-                prop, self.options.syntactic_skip, part,
-                lambda: obligation_key(
-                    self.program_digest(), prop, self.options, part
-                ),
+                prop, self.options.syntactic_skip, part, compute,
             )
-        return obligation_key(
-            self.program_digest(), prop, self.options, part
-        )
+        return compute()
 
     def plan(self, prop: Property) -> Tuple[Obligation, ...]:
         """Pipeline stage one: the obligations of ``prop``, each with its
@@ -528,38 +565,33 @@ class Verifier:
 
     # -- fragment-grained trace search -----------------------------------------
 
-    def _fragment_key(self, prop: TraceProperty,
-                      part: Optional[Tuple[str, str]]) -> str:
+    def _fragment_key(self, prop: TraceProperty, part: Part) -> str:
         """The content address of one trace-proof *fragment* (the base
         case for ``part=None``, one exchange's inductive case
-        otherwise).  Scoped by :func:`dependency_digest` instead of the
-        whole-program digest, so editing one handler only re-keys the
-        fragments that syntactically depend on it.  Distinct from every
-        whole-obligation key: the ``part`` tag carries a ``trace-frag``
-        marker."""
-        tag = ("trace-frag",) if part is None \
-            else ("trace-frag",) + tuple(part)
-        return obligation_key(
-            dependency_digest(self.spec.program, part),
-            prop, self.options, tag,
-        )
+        otherwise); see :meth:`fragment_keys`."""
+        return self.fragment_keys(prop)[part]
 
-    def fragment_keys(self, prop: TraceProperty
-                      ) -> Dict[Optional[Tuple[str, str]], str]:
+    def fragment_keys(self, prop: TraceProperty) -> Dict[Part, str]:
         """Every fragment's dependency-scoped content address for
         ``prop``: the base case under ``None`` plus one entry per
-        exchange of the kernel.
+        exchange of the kernel (computed once per property).
 
-        Purely syntactic (no symbolic step is built), so callers — the
-        incremental invalidation map, the serve daemon — can enumerate
-        what an edit invalidates without paying for verification.
+        Scoped by the slice digests instead of the whole-program digest,
+        so editing one handler only re-keys the fragments that
+        syntactically depend on it.  Distinct from every
+        whole-obligation key: the ``part`` tag carries a ``trace-frag``
+        marker.  Purely syntactic (no symbolic step is built), so
+        callers — the incremental invalidation map, the serve daemon —
+        can enumerate what an edit invalidates without paying for
+        verification.
         """
-        out: Dict[Optional[Tuple[str, str]], str] = {
-            None: self._fragment_key(prop, None),
-        }
-        for part in self.spec.program.exchange_keys():
-            out[part] = self._fragment_key(prop, part)
-        return out
+        render = self._property_render(prop)
+        keys = self._fragment_keys.get(render)
+        if keys is None:
+            keys = self._fragment_keys[render] = trace_fragment_keys(
+                self.slice_digests(), render, self.options,
+            )
+        return keys
 
     def _search_trace(self, prop: TraceProperty) -> TracePropertyProof:
         """The search stage for a trace property.

@@ -40,26 +40,9 @@ from .. import obs
 from ..props.spec import Property, SpecifiedProgram, TraceProperty
 from .derivation import TracePropertyProof
 from .engine import PropertyResult, ProverOptions, Verifier
-from .proofstore import dependency_digest
-
-#: A fragment slice identifier: ``None`` for the base case (declarations
-#: + Init), an exchange key ``(ctype, msg)`` for one handler's slice.
-Part = Optional[Tuple[str, str]]
-
-
-def fragment_digests(program: object) -> Dict[Part, str]:
-    """The dependency digest of every fragment slice of ``program``.
-
-    One entry for the base slice (``None`` → declarations + Init) plus
-    one per exchange of the kernel.  Two submissions that differ in one
-    handler differ exactly in that handler's entry, which is what lets a
-    session — or the serve daemon — decide *what changed* without
-    verifying anything.
-    """
-    out: Dict[Part, str] = {None: dependency_digest(program, None)}
-    for part in program.exchange_keys():
-        out[part] = dependency_digest(program, part)
-    return out
+# ``fragment_digests`` is re-exported for callers that import it from
+# here; ``Verifier.slice_digests`` is its one caller in the package.
+from .proofstore import Part, fragment_digests  # noqa: F401
 
 
 def changed_parts(old: Dict[Part, str],
@@ -138,12 +121,10 @@ class InvalidationMap:
         with self._lock:
             self._keys.pop(fragment_digest, None)
 
-    def record_program(self, verifier: Verifier,
-                       digests: Optional[Dict[Part, str]] = None) -> None:
+    def record_program(self, verifier: Verifier) -> None:
         """File every trace-property fragment key of ``verifier``'s
         program under its slice digest (one call per submission)."""
-        if digests is None:
-            digests = fragment_digests(verifier.spec.program)
+        digests = verifier.slice_digests()
         for prop in verifier.spec.trace_properties():
             for part, key in verifier.fragment_keys(prop).items():
                 self.record(digests[part], key)
@@ -235,12 +216,6 @@ class IncrementalReport:
         return "\n".join(lines)
 
 
-def _program_fingerprint(spec: SpecifiedProgram) -> Tuple:
-    """Structural identity of the program (properties excluded: a changed
-    property is always freshly proved)."""
-    return (spec.program,)
-
-
 class IncrementalVerifier:
     """Verifies successive versions of a program, reusing work."""
 
@@ -248,7 +223,9 @@ class IncrementalVerifier:
                  invalidation: Optional[InvalidationMap] = None) -> None:
         self.options = options or ProverOptions()
         self._rounds = 0
-        self._fingerprint: Optional[Tuple] = None
+        #: the previous round's program digest (properties excluded: a
+        #: changed property is always freshly proved)
+        self._program_digest: Optional[str] = None
         #: property name → (property, result) from the previous round
         self._previous: Dict[str, Tuple[Property, PropertyResult]] = {}
         #: fragment slice → dependency digest from the previous round
@@ -264,10 +241,10 @@ class IncrementalVerifier:
         """Verify this round's program, reusing previous derivations."""
         self._rounds += 1
         verifier = Verifier(spec, self.options)
-        fingerprint = _program_fingerprint(spec)
-        unchanged_program = fingerprint == self._fingerprint
+        program_digest = verifier.program_digest()
+        unchanged_program = program_digest == self._program_digest
         report = IncrementalReport(spec.name, self._rounds)
-        digests = fragment_digests(spec.program)
+        digests = verifier.slice_digests()
         if self._rounds > 1:
             report.changed = changed_parts(self._digests, digests)
             obs.incr("incremental.parts.changed", len(report.changed))
@@ -277,9 +254,9 @@ class IncrementalVerifier:
             report.entries.append(entry)
 
         if self.invalidation is not None:
-            self.invalidation.record_program(verifier, digests)
+            self.invalidation.record_program(verifier)
         self._digests = digests
-        self._fingerprint = fingerprint
+        self._program_digest = program_digest
         self._previous = {
             e.result.property.name: (e.result.property, e.result)
             for e in report.entries

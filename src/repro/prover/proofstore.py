@@ -12,6 +12,15 @@ property's ``high_vars``) depends on ``PYTHONHASHSEED``, so
 :func:`fingerprint` renders sets and dict keys in sorted order.  Two
 processes therefore always agree on the key of the same obligation.
 
+This module owns the key format.  :func:`render_program` renders each
+AST subtree of a program once; the program digest
+(:meth:`ProgramRender.digest`) and every fragment slice digest
+(:func:`fragment_digests`) are composed from those renders, byte for
+byte equal to :func:`digest` of the program and
+:func:`dependency_digest` of each slice.  A
+:class:`~repro.prover.engine.Verifier` holds one submission's render
+and keys, so each is computed once.
+
 Trust story (see DESIGN.md): the store is *outside* the trusted base.
 Trace derivations loaded from the store are replayed through the
 independent checker against the current abstraction before they are
@@ -30,7 +39,7 @@ import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 
@@ -95,9 +104,13 @@ def _render(value: object, emit: Callable[[str], None]) -> None:
         emit(repr(value))
 
 
+def _sha256(material: str) -> str:
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
 def digest(value: object) -> str:
     """SHA-256 hex digest of :func:`fingerprint` of ``value``."""
-    return hashlib.sha256(fingerprint(value).encode("utf-8")).hexdigest()
+    return _sha256(fingerprint(value))
 
 
 def obligation_key(program_digest: str, prop: object, options: object,
@@ -112,24 +125,39 @@ def obligation_key(program_digest: str, prop: object, options: object,
     (``syntactic_skip``, which changes the shape of the emitted proof)
     participate.
     """
-    material = "\x1f".join([
+    return rendered_key(program_digest, fingerprint(prop), options, part)
+
+
+def rendered_key(scope_digest: str, prop_render: str, options: object,
+                 part: object) -> str:
+    """:func:`obligation_key` from the property's :func:`fingerprint`,
+    so a caller keying many parts of one property renders it once."""
+    return _sha256("\x1f".join([
         f"reflex-obligation-v{FORMAT_VERSION}",
-        program_digest,
-        fingerprint(prop),
+        scope_digest,
+        prop_render,
         f"syntactic_skip={getattr(options, 'syntactic_skip', True)}",
         f"part={part!r}",
-    ])
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    ]))
 
 
-def dependency_digest(program: object, part: Optional[Tuple[str, str]]) -> str:
+#: A fragment slice identifier: ``None`` for the base case (declarations
+#: + Init), an exchange key ``(ctype, msg)`` for one handler's slice.
+Part = Optional[Tuple[str, str]]
+
+
+def dependency_digest(program: object, part: Part) -> str:
     """Digest of the program slice one trace-proof *fragment* depends on.
 
-    Fragment keys (see ``Verifier._fragment_key``) substitute this for
+    Fragment keys (see ``Verifier.fragment_keys``) substitute this for
     the whole-program digest so that editing one handler only re-keys the
     fragments whose slice actually changed: the base case depends on the
     declarations and the Init block; an exchange's inductive case depends
     on those plus its own handler.
+
+    This is the reference definition: :func:`fragment_digests` computes
+    the same digests for every slice at once, from one render of each
+    subtree.
 
     This is an *invalidation heuristic*, not a soundness boundary — a
     fragment may also lean on other handlers through secondary-induction
@@ -152,6 +180,87 @@ def dependency_digest(program: object, part: Optional[Tuple[str, str]]) -> str:
             program.handler_for(ctype, msg),
         )
     return digest(scope)
+
+
+@dataclasses.dataclass(frozen=True)
+class ProgramRender:
+    """Each AST subtree of one program rendered once by :func:`fingerprint`.
+
+    The program digest and every slice digest are composed from these
+    renders, so a submission renders its declarations, Init and each
+    handler exactly once however many keys it needs.
+    """
+
+    #: the program's class name, which its render opens with
+    kind: str
+    #: ``(field name, render)`` in the program's declared field order
+    fields: Tuple[Tuple[str, str], ...]
+    #: every exchange key with its handler's render (``None`` unhandled)
+    exchanges: Tuple[Tuple[Tuple[str, str], str], ...]
+
+    def digest(self) -> str:
+        """:func:`digest` of the program."""
+        return _sha256(self.kind + "(" + "".join(
+            f"{name}={value}," for name, value in self.fields
+        ) + ")")
+
+
+def render_program(program: object) -> ProgramRender:
+    """Render ``program``'s name, declarations, Init and each handler."""
+    handlers = [fingerprint(handler) for handler in program.handlers]
+    dispatched: Dict[Tuple[str, str], str] = {}
+    for handler, render in zip(program.handlers, handlers):
+        # ``Program.handler_for`` dispatches to the first match.
+        dispatched.setdefault((handler.ctype, handler.msg), render)
+    rendered = {
+        "name": repr(program.name),
+        "components": fingerprint(program.components),
+        "messages": fingerprint(program.messages),
+        "init": fingerprint(program.init),
+        "handlers": "(" + "".join(h + "," for h in handlers) + ")",
+    }
+    return ProgramRender(
+        kind=type(program).__name__,
+        fields=tuple((f.name, rendered[f.name])
+                     for f in dataclasses.fields(program)),
+        exchanges=tuple((part, dispatched.get(part, "None"))
+                        for part in program.exchange_keys()),
+    )
+
+
+def fragment_digests(render: ProgramRender) -> Dict[Part, str]:
+    """The :func:`dependency_digest` of every fragment slice of the
+    rendered program, composed from its subtree renders.
+
+    One entry for the base slice (``None`` → declarations + Init) plus
+    one per exchange of the kernel.  Two submissions that differ in one
+    handler differ exactly in that handler's entry, which is what lets a
+    session — or the serve daemon — decide *what changed* without
+    verifying anything.
+    """
+    fields = dict(render.fields)
+    # The slice tuples' shared members, already rendered.
+    shared = "".join(fields[name] + "," for name in
+                     ("name", "components", "messages", "init"))
+    out: Dict[Part, str] = {None: _sha256(f"('scope','base',{shared})")}
+    for (ctype, msg), handler in render.exchanges:
+        out[(ctype, msg)] = _sha256(
+            f"('scope',{ctype!r},{msg!r},{shared}{handler},)"
+        )
+    return out
+
+
+def trace_fragment_keys(slices: Dict[Part, str], prop_render: str,
+                        options: object) -> Dict[Part, str]:
+    """Every trace-proof fragment key of one property: its
+    :func:`fingerprint` ``prop_render`` scoped by each slice digest.
+    The ``trace-frag`` tag keeps them distinct from every
+    whole-obligation key."""
+    return {
+        part: rendered_key(slice_digest, prop_render, options,
+                           ("trace-frag",) + (part or ()))
+        for part, slice_digest in slices.items()
+    }
 
 
 def derivation_key(proof: object) -> str:

@@ -74,12 +74,7 @@ from ..obs.events import EventLog
 from ..obs.export import prometheus_exposition
 from ..obs.timeseries import Sampler, TimeSeries, registry_snapshot
 from ..prover import DEADLINE_MESSAGE, ProverOptions, Verifier
-from ..prover.incremental import (
-    InvalidationMap,
-    Part,
-    changed_parts,
-    fragment_digests,
-)
+from ..prover.incremental import InvalidationMap, Part, changed_parts
 from ..prover.proofstore import ProofStore
 from .admission import (
     DEFAULT_MAX_QUEUED,
@@ -803,7 +798,6 @@ class VerificationServer:
         if not self.breaker.allow():
             self._serve_degraded(spec, source, waiters, answered)
             return
-        digests = fragment_digests(spec.program)
         options = self.prover_options
         if deadline is not None:
             options = replace(options, deadline=deadline)
@@ -824,9 +818,11 @@ class VerificationServer:
         with obs.use(sink):
             verifier = Verifier(spec, options)
             report = verifier.verify_all()
-            program_digest = verifier.program_digest()
-            self.invalidation.record_program(verifier, digests)
+            self.invalidation.record_program(verifier)
         wall = time.perf_counter() - started
+        digests = verifier.slice_digests()
+        program_digest = verifier.program_digest()
+        report_dict = report.to_dict()
         residue = residue_for(report)
         counters = dict(sink.counters)
         deadline_expired = any(
@@ -838,12 +834,12 @@ class VerificationServer:
                 self.telemetry.incr("serve.deadline.expired")
         self.breaker.record_success()
         if not deadline_expired:
-            self._cache_verdict(source, spec, report, residue,
+            self._cache_verdict(source, spec, report_dict, residue,
                                 program_digest)
         fanout_start = time.monotonic()
         for waiter in waiters:
             waiter.answer(self._verdict_frame(
-                waiter, spec, report, residue, digests,
+                waiter, spec, report_dict, residue, digests,
                 program_digest, counters, wall, len(waiters),
                 deadline_expired=deadline_expired,
                 group_start=group_start,
@@ -874,7 +870,7 @@ class VerificationServer:
                     breakdown.get("total_ms", 0.0) / 1000.0,
                 )
 
-    def _verdict_frame(self, waiter: _Submission, spec, report,
+    def _verdict_frame(self, waiter: _Submission, spec, report: dict,
                        residue: List[dict], digests: Dict[Part, str],
                        program_digest: str, counters: Dict[str, int],
                        wall: float, coalesced: int,
@@ -883,11 +879,13 @@ class VerificationServer:
                        fanout_start: Optional[float] = None) -> dict:
         """The terminal verdict for one submission, with its
         session-scoped incremental diff (which slices changed, what got
-        superseded) and its per-phase latency breakdown."""
+        superseded) and its per-phase latency breakdown.  ``report`` is
+        the group's ``VerificationReport.to_dict()``, built once and
+        shared by every waiter's frame."""
         session = waiter.session
         breakdown = waiter.breakdown(group_start=group_start,
                                      fanout_start=fanout_start)
-        outcome = "proved" if report.all_proved else "unproved"
+        outcome = "proved" if report["all_proved"] else "unproved"
         if deadline_expired:
             outcome = "deadline"
         self._note_recent(waiter, outcome, breakdown)
@@ -900,7 +898,7 @@ class VerificationServer:
         else:
             changed, invalidated, changed_json = None, 0, None
         session.note_round(digests, program_digest, spec.name,
-                           report.all_proved)
+                           report["all_proved"])
         return {
             "type": "verdict",
             "session": session.sid,
@@ -908,8 +906,8 @@ class VerificationServer:
             "round": session.rounds,
             "program": spec.name,
             "program_digest": program_digest,
-            "all_proved": report.all_proved,
-            "report": report.to_dict(),
+            "all_proved": report["all_proved"],
+            "report": report,
             "residue": residue,
             "changed_parts": changed_json,
             "fragments": {
@@ -930,15 +928,15 @@ class VerificationServer:
 
     # -- circuit breaking and degraded serving -------------------------------
 
-    def _cache_verdict(self, source: str, spec, report,
+    def _cache_verdict(self, source: str, spec, report: dict,
                        residue: List[dict],
                        program_digest: str) -> None:
         """Remember a full verdict for degraded (breaker-open) serving."""
         self._verdict_cache[source] = {
             "program": spec.name,
             "program_digest": program_digest,
-            "all_proved": report.all_proved,
-            "report": report.to_dict(),
+            "all_proved": report["all_proved"],
+            "report": report,
             "residue": residue,
         }
         self._verdict_cache.move_to_end(source)

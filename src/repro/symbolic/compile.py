@@ -434,6 +434,9 @@ def compiled_executor(info: ProgramInfo) -> Callable:
 
 #: Bound on cached hot verdict payloads per plan.
 _RESULT_LIMIT = 1024
+#: Bound on memoized obligation keys per plan.  A daemon re-parses every
+#: submission, so each one brings new property objects and new entries.
+_KEY_LIMIT = 1024
 
 
 @dataclass
@@ -442,9 +445,11 @@ class CompiledPlan:
 
     digest: str
     _step: Optional[object] = None
-    _keys: Dict[Tuple[int, bool, object], str] = field(default_factory=dict)
-    #: strong references pinning the ``id``-keyed properties in ``_keys``
-    _key_refs: List[object] = field(default_factory=list)
+    #: (id(property), skip flag, part) → (property, key); the entry pins
+    #: its property so the id cannot be reused while it is memoized
+    _keys: "OrderedDict[Tuple[int, bool, object], Tuple[object, str]]" = field(
+        default_factory=OrderedDict
+    )
     _results: "OrderedDict[str, Tuple[str, object]]" = field(
         default_factory=OrderedDict
     )
@@ -476,20 +481,23 @@ class CompiledPlan:
                            compute: Callable[[], str]) -> str:
         """Memoized content-addressed obligation key.
 
-        Keys are memoized per (property identity, skip flag, part); the
-        property object is pinned so ``id`` reuse cannot alias.  The
-        computed key is byte-identical to an unmemoized computation — the
-        memo only skips the canonical-fingerprint render.
+        Keys are memoized per (property identity, skip flag, part), least
+        recently used evicted past :data:`_KEY_LIMIT`; each entry pins
+        its property so ``id`` reuse cannot alias.  The computed key is
+        byte-identical to an unmemoized computation — the memo only
+        skips the canonical-fingerprint render.
         """
         memo_key = (id(prop), syntactic_skip, part)
         hit = self._keys.get(memo_key)
         if hit is not None:
             obs.incr("compile.key.hit")
-            return hit
+            self._keys.move_to_end(memo_key)
+            return hit[1]
         obs.incr("compile.key.miss")
         key = compute()
-        self._keys[memo_key] = key
-        self._key_refs.append(prop)
+        self._keys[memo_key] = (prop, key)
+        while len(self._keys) > _KEY_LIMIT:
+            self._keys.popitem(last=False)
         return key
 
     def cached_result(self, key: str) -> Optional[Tuple[str, object]]:

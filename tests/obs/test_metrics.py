@@ -1,6 +1,7 @@
 """Unit tests for the metrics registry (`repro.obs.metrics`)."""
 
 import json
+import threading
 
 from repro.obs.metrics import BASE, Histogram, MetricsRegistry, bucket_index
 
@@ -108,6 +109,38 @@ class TestRegistry:
         assert registry.counters["solver.implies"] == 3
         assert registry.gauges["cache.size"] == 17.0
         assert registry.histograms["solver.query.seconds"].count == 1
+
+    def test_concurrent_incr_loses_no_update(self):
+        """A writer preempted between reading and storing a counter must
+        not overwrite another writer's increment."""
+        registry = MetricsRegistry()
+        reading, second_done = threading.Event(), threading.Event()
+
+        class PausingCounters(dict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if threading.current_thread().name == "first":
+                    # Preempted after the read: the second writer runs
+                    # now, or waits for this write when incr is locked.
+                    reading.set()
+                    second_done.wait(timeout=0.2)
+                return value
+
+        def second_writer():
+            registry.incr("n")
+            second_done.set()
+
+        registry.counters = PausingCounters()
+        first = threading.Thread(target=registry.incr, args=("n",),
+                                 name="first")
+        second = threading.Thread(target=second_writer)
+        first.start()
+        assert reading.wait(timeout=5.0)
+        second.start()
+        first.join(timeout=5.0)
+        second.join(timeout=5.0)
+        assert not first.is_alive() and not second.is_alive()
+        assert registry.counters["n"] == 2
 
     def test_merge_folds_histograms_but_not_counters(self):
         """Counters travel on the flat telemetry path (the facade aliases

@@ -7,6 +7,7 @@ testable without any socket nondeterminism.  End-to-end socket coverage
 lives in ``tests/integration/test_serve.py``.
 """
 
+import itertools
 import queue
 import socket
 import struct
@@ -566,11 +567,14 @@ class TestSessionResumption:
 class TestRequestTracing:
     """submit_id propagation and the per-submission latency breakdown."""
 
-    @staticmethod
-    def admitted(server, source, **kwargs):
+    #: mints distinct ids, as the daemon's ``_submit_seq`` does
+    _ids = itertools.count(1)
+
+    @classmethod
+    def admitted(cls, server, source, **kwargs):
         """A submission stamped the way ``_dispatch`` stamps it."""
         sub = submission(server, source, **kwargs)
-        sub.submit_id = f"sub-{id(sub) % 1000}"
+        sub.submit_id = f"sub-{next(cls._ids)}"
         sub.received_at = time.monotonic() - 0.010
         sub.admitted_at = sub.received_at + 0.002
         return sub
